@@ -234,13 +234,20 @@ impl ShardedWarpLda {
         self.inner.iterations += 1;
     }
 
-    /// Appends the packed records of `entries` (in that order) to `out`
+    /// Writes the packed records of `entries` (in that order) to `out`
     /// (cleared first): `entries.len() × stride` words.
     pub fn export_records(&self, entries: &[u32], out: &mut Vec<u32>) {
+        let stride = self.stride();
+        let records = self.inner.records.as_slice();
         out.clear();
-        out.reserve(entries.len() * self.stride());
-        for &e in entries {
-            out.extend_from_slice(self.inner.records.record(e as usize));
+        out.resize(entries.len() * stride, 0);
+        for (dst, &e) in out.chunks_exact_mut(stride).zip(entries) {
+            let at = e as usize * stride;
+            // An element loop, not `copy_from_slice`: a record is a few words,
+            // far below where a `memcpy` call pays for itself.
+            for (d, &w) in dst.iter_mut().zip(&records[at..at + stride]) {
+                *d = w;
+            }
         }
     }
 
@@ -260,13 +267,20 @@ impl ShardedWarpLda {
             )));
         }
         let k = self.inner.params.num_topics;
-        if let Some(&bad) = words.iter().find(|&&t| t as usize >= k) {
+        // A branch-free maximum vectorizes; searching for the first bad word
+        // does not.
+        let max = words.iter().fold(0u32, |m, &t| m.max(t));
+        if max as usize >= k {
             return Err(CodecError::Corrupt(format!(
-                "record delta topic {bad} out of range (K = {k})"
+                "record delta topic {max} out of range (K = {k})"
             )));
         }
+        let records = self.inner.records.as_mut_slice();
         for (rec, &e) in words.chunks_exact(stride).zip(entries) {
-            self.inner.records.record_mut(e as usize).copy_from_slice(rec);
+            let at = e as usize * stride;
+            for (d, &w) in records[at..at + stride].iter_mut().zip(rec) {
+                *d = w;
+            }
         }
         Ok(())
     }

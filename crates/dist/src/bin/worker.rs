@@ -3,11 +3,17 @@
 //! Spawned by [`warplda_dist::ProcessCluster`] as
 //! `warplda-dist-worker --connect 127.0.0.1:PORT --worker-id N`. The worker
 //! connects back, receives the corpus and model hyperparameters in a `Setup`
-//! frame, rebuilds the *same* replica and [`ShardPlan`] the coordinator holds
-//! (both are deterministic functions of the corpus, seed and worker count),
-//! then serves `RunIteration` requests: advance the owned shard of a phase,
-//! report the owned records plus a partial `c_k`, and absorb the merged
-//! `c_k` plus the cross-owner records the plan says this worker lacks.
+//! frame, rebuilds the *same* replica and [`ShardPlan`] as every other
+//! process (both are deterministic functions of the corpus, seed and worker
+//! count), then serves `RunIteration` requests. Per phase it advances its
+//! owned shard, sends a delta — its partial `c_k` plus the records of its
+//! routes: only what other workers read after the word phase, all of its
+//! rows after the doc phase — and absorbs the sync: the merged `c_k` plus
+//! the records other workers routed to it, which the coordinator relays.
+//!
+//! The exchange runs in buffers the worker keeps across iterations (the
+//! export scratch, the outgoing frame, the decoded sync), so a steady-state
+//! iteration allocates nothing payload-sized.
 //!
 //! Once `Ready` is sent, a side thread pulses `Heartbeat` frames every
 //! `Setup.heartbeat_interval_ms` so the coordinator can tell a slow worker
@@ -23,7 +29,7 @@
 //! Scripted faults from `Setup.faults` fire at the start of their target
 //! phase: crash (exit mid-protocol), hang (stop heartbeats and stall), delay
 //! (stall but keep heartbeating — the supervisor must *not* kill us), or
-//! corrupt/truncate the next delta frame.
+//! corrupt, truncate or poison the next delta frame.
 //!
 //! Every protocol violation or decode failure is reported back as a `Fault`
 //! frame (best effort) before exiting non-zero, so the coordinator gets a
@@ -37,13 +43,14 @@ use std::time::Duration;
 
 use warplda_core::{ModelParams, ShardedWarpLda, WarpLdaConfig};
 use warplda_corpus::{Corpus, DocMajorView, WordMajorView};
-use warplda_dist::fault::{FaultAction, FaultPhase, FaultTimeline};
+use warplda_dist::fault::{FaultAction, FaultTimeline};
 use warplda_dist::plan::ShardPlan;
 use warplda_dist::protocol::{
-    decode_message, encode_message, Delta, Message, Setup, DIST_MAX_FRAME_BYTES,
+    decode_message, decode_sync_into, encode_frame, Message, Phase, RecordFrame, ResumeState,
+    Setup, Sync, DIST_MAX_FRAME_BYTES,
 };
 use warplda_dist::GridPartition;
-use warplda_net::{connect_within, write_frame, FrameBuffer};
+use warplda_net::{connect_within, FrameBuffer};
 use warplda_sparse::PartitionStrategy;
 
 type Result<T> = std::result::Result<T, Box<dyn std::error::Error>>;
@@ -87,35 +94,27 @@ struct SharedWriter {
 }
 
 impl SharedWriter {
-    fn lock(&self) -> std::sync::MutexGuard<'_, TcpStream> {
-        self.stream.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    /// Writes bytes holding whole frames (or, for the truncation fault, a
+    /// deliberately cut one) under the lock.
+    fn write(&self, bytes: &[u8]) -> Result<()> {
+        let mut stream = self.stream.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+        stream.write_all(bytes)?;
+        Ok(())
     }
 
+    /// Sends a small control message.
     fn send(&self, msg: &Message) -> Result<()> {
-        let payload = encode_message(msg);
-        write_frame(&mut *self.lock(), &payload)?;
-        Ok(())
+        let mut frame = Vec::new();
+        encode_frame(msg, &mut frame);
+        self.write(&frame)
     }
+}
 
-    /// Scripted `CorruptDelta`: flips the tag byte so the coordinator's
-    /// decode fails with a typed corrupt-payload error.
-    fn send_corrupted(&self, msg: &Message) -> Result<()> {
-        let mut payload = encode_message(msg);
-        payload[0] ^= 0xFF;
-        write_frame(&mut *self.lock(), &payload)?;
-        Ok(())
-    }
-
-    /// Scripted `TruncateDelta`: a full length prefix but only half the
-    /// payload — the coordinator sees the connection close mid-frame.
-    fn send_truncated(&self, msg: &Message) -> Result<()> {
-        let payload = encode_message(msg);
-        let mut stream = self.lock();
-        stream.write_all(&(payload.len() as u32).to_le_bytes())?;
-        stream.write_all(&payload[..payload.len() / 2])?;
-        stream.flush()?;
-        Ok(())
-    }
+/// What one receive produced: a sync decoded into the caller's buffers, or
+/// any other message.
+enum Inbound {
+    Sync(Phase),
+    Msg(Message),
 }
 
 /// The read half, owned by the protocol loop.
@@ -125,11 +124,15 @@ struct Reader {
 }
 
 impl Reader {
-    fn recv(&mut self) -> Result<Message> {
-        match self.buf.read_frame(&mut self.stream)? {
-            Some(range) => Ok(decode_message(self.buf.payload(range))?),
-            None => Err("coordinator closed the connection".into()),
-        }
+    fn recv(&mut self, sync: &mut Sync) -> Result<Inbound> {
+        let Some(range) = self.buf.read_frame(&mut self.stream)? else {
+            return Err("coordinator closed the connection".into());
+        };
+        let payload = self.buf.payload(range);
+        Ok(match decode_sync_into(payload, sync)? {
+            Some(phase) => Inbound::Sync(phase),
+            None => Inbound::Msg(decode_message(payload)?),
+        })
     }
 }
 
@@ -144,6 +147,8 @@ impl Heartbeat {
         let flag = Arc::new(AtomicBool::new(false));
         let stop = flag.clone();
         let handle = std::thread::spawn(move || {
+            let mut frame = Vec::new();
+            encode_frame(&Message::Heartbeat { worker_id }, &mut frame);
             while !stop.load(Ordering::Relaxed) {
                 std::thread::sleep(interval);
                 if stop.load(Ordering::Relaxed) {
@@ -151,7 +156,7 @@ impl Heartbeat {
                 }
                 // A send failure means the coordinator is gone; the protocol
                 // loop will notice on its own.
-                if writer.send(&Message::Heartbeat { worker_id }).is_err() {
+                if writer.write(&frame).is_err() {
                     break;
                 }
             }
@@ -192,9 +197,11 @@ fn run(addr: &str, worker_id: u32) -> Result<()> {
     };
 
     writer.send(&Message::Hello { worker_id })?;
-    let setup = match reader.recv()? {
-        Message::Setup(setup) => *setup,
-        other => return Err(format!("expected Setup, got {other:?}").into()),
+    let mut bufs = Buffers::default();
+    let setup = match reader.recv(&mut bufs.sync)? {
+        Inbound::Msg(Message::Setup(setup)) => *setup,
+        Inbound::Sync(phase) => return Err(format!("expected Setup, got a {phase:?} sync").into()),
+        Inbound::Msg(other) => return Err(format!("expected Setup, got {other:?}").into()),
     };
     if setup.worker_id != worker_id {
         return Err(format!(
@@ -215,8 +222,15 @@ fn run(addr: &str, worker_id: u32) -> Result<()> {
         )
     });
 
-    let id = worker_id as usize;
-    match serve(&mut reader, &writer, &mut sampler, &plan, id, &mut faults, heartbeat.as_ref()) {
+    let mut worker = Worker {
+        reader: &mut reader,
+        writer: &writer,
+        sampler: &mut sampler,
+        plan: &plan,
+        id: worker_id as usize,
+        bufs,
+    };
+    match worker.serve(&mut faults, heartbeat.as_ref()) {
         Ok(()) => {
             if let Some(hb) = &heartbeat {
                 hb.stop();
@@ -257,12 +271,6 @@ fn build_replica(setup: &Setup) -> Result<(ShardedWarpLda, ShardPlan)> {
     Ok((sampler, plan))
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SyncKind {
-    Word,
-    Doc,
-}
-
 /// What a phase-boundary wait produced: the expected sync, or a `Restore`
 /// that abandons the iteration.
 enum Flow {
@@ -290,133 +298,180 @@ fn execute_fault(action: FaultAction, heartbeat: Option<&Heartbeat>) -> Option<F
             std::thread::sleep(Duration::from_millis(ms));
             None
         }
-        sabotage @ (FaultAction::CorruptDelta | FaultAction::TruncateDelta) => Some(sabotage),
+        sabotage @ (FaultAction::CorruptDelta
+        | FaultAction::TruncateDelta
+        | FaultAction::PoisonDelta) => Some(sabotage),
     }
 }
 
-/// The iteration loop: word shard → delta → sync, doc shard → delta → sync,
-/// until `Shutdown`. A `Restore` at any receive point abandons the current
-/// iteration (no advance), reinstalls the boundary state and re-enters the
-/// loop with a fresh `Ready`.
-#[allow(clippy::too_many_arguments)]
-fn serve(
-    reader: &mut Reader,
-    writer: &SharedWriter,
-    sampler: &mut ShardedWarpLda,
-    plan: &ShardPlan,
+/// The exchange buffers, reused across phases and iterations.
+#[derive(Default)]
+struct Buffers {
+    partial: Vec<u32>,
+    /// Export scratch: one route's records at a time.
+    records: Vec<u32>,
+    /// The outgoing delta frame.
+    frame: Vec<u8>,
+    /// The incoming sync.
+    sync: Sync,
+}
+
+/// One worker's protocol state: its link, replica, plan and buffers.
+struct Worker<'a> {
+    reader: &'a mut Reader,
+    writer: &'a SharedWriter,
+    sampler: &'a mut ShardedWarpLda,
+    plan: &'a ShardPlan,
     id: usize,
-    faults: &mut FaultTimeline,
-    heartbeat: Option<&Heartbeat>,
-) -> Result<()> {
-    let k = sampler.params().num_topics;
-    let mut partial = vec![0u32; k];
-    let mut records = Vec::new();
-    'session: loop {
-        let epoch = match reader.recv()? {
-            Message::RunIteration { epoch } => epoch,
-            Message::Restore(r) => {
-                sampler.restore(r.iterations, &r.records, &r.topic_counts)?;
-                writer.send(&Message::Ready { worker_id: id as u32 })?;
-                continue;
-            }
-            Message::Shutdown => return Ok(()),
-            other => {
-                return Err(
-                    format!("expected RunIteration, Restore or Shutdown, got {other:?}").into()
+    bufs: Buffers,
+}
+
+impl Worker<'_> {
+    /// The iteration loop: word shard → delta → sync, doc shard → delta →
+    /// sync, until `Shutdown`. A `Restore` at any receive point abandons the
+    /// current iteration (no advance), reinstalls the boundary state and
+    /// re-enters the loop with a fresh `Ready`.
+    fn serve(&mut self, faults: &mut FaultTimeline, heartbeat: Option<&Heartbeat>) -> Result<()> {
+        self.bufs.partial.resize(self.sampler.params().num_topics, 0);
+        'session: loop {
+            let epoch = match self.reader.recv(&mut self.bufs.sync)? {
+                Inbound::Msg(Message::RunIteration { epoch }) => epoch,
+                Inbound::Msg(Message::Restore(r)) => {
+                    self.restore(&r)?;
+                    continue;
+                }
+                Inbound::Msg(Message::Shutdown) => return Ok(()),
+                Inbound::Msg(other) => {
+                    return Err(format!(
+                        "expected RunIteration, Restore or Shutdown, got {other:?}"
+                    )
+                    .into())
+                }
+                Inbound::Sync(phase) => {
+                    return Err(format!("expected RunIteration, got a {phase:?} sync").into())
+                }
+            };
+            if epoch != self.sampler.iterations() {
+                return Err(format!(
+                    "coordinator asked for epoch {epoch} but this worker is at {}",
+                    self.sampler.iterations()
                 )
+                .into());
             }
-        };
-        if epoch != sampler.iterations() {
+
+            for phase in [Phase::Word, Phase::Doc] {
+                let sabotage =
+                    faults.fire(epoch, phase).and_then(|action| execute_fault(action, heartbeat));
+                let (plan, partial) = (self.plan, &mut self.bufs.partial);
+                match phase {
+                    Phase::Word => {
+                        self.sampler.run_word_phase_shard(&plan.owned_words[self.id], partial)
+                    }
+                    Phase::Doc => {
+                        self.sampler.run_doc_phase_shard(&plan.owned_docs[self.id], partial)
+                    }
+                }
+                self.send_delta(phase, epoch, sabotage)?;
+                match self.apply_sync(phase, epoch)? {
+                    Flow::Synced => {}
+                    Flow::Restored => continue 'session,
+                }
+            }
+
+            self.sampler.advance_iteration();
+        }
+    }
+
+    /// Builds this worker's `phase` delta — partial `c_k`, then its routes'
+    /// records destination by destination — and sends it, applying a
+    /// scripted sabotage if one fired.
+    fn send_delta(
+        &mut self,
+        phase: Phase,
+        epoch: u64,
+        sabotage: Option<FaultAction>,
+    ) -> Result<()> {
+        let Buffers { partial, records, frame, .. } = &mut self.bufs;
+        let words = self.plan.shipped(phase, self.id) * self.sampler.stride();
+        let mut delta = RecordFrame::delta(frame, phase, self.id as u32, epoch, partial, words);
+        for route in &self.plan.routes(phase)[self.id] {
+            self.sampler.export_records(route, records);
+            delta.push(records);
+        }
+        delta.finish();
+
+        match sabotage {
+            // Flip the tag byte: a typed corrupt-payload decode error.
+            Some(FaultAction::CorruptDelta) => frame[4] ^= 0xFF,
+            // A full length prefix but only half the payload: the
+            // coordinator sees the connection close mid-frame.
+            Some(FaultAction::TruncateDelta) => {
+                self.writer.write(&frame[..4 + (frame.len() - 4) / 2])?;
+                std::process::exit(4);
+            }
+            // Topic K in the first record word (records come last).
+            Some(FaultAction::PoisonDelta) if words > 0 => {
+                let k = self.sampler.params().num_topics as u32;
+                let at = frame.len() - words * 4;
+                frame[at..at + 4].copy_from_slice(&k.to_le_bytes());
+            }
+            _ => {}
+        }
+        self.writer.write(frame)
+    }
+
+    /// Receives the expected phase-boundary sync, installs the merged `c_k`
+    /// and imports the records every other worker routed here. A `Restore`
+    /// here means a peer failed mid-iteration: adopt the boundary state,
+    /// acknowledge with `Ready` and report [`Flow::Restored`].
+    fn apply_sync(&mut self, phase: Phase, epoch: u64) -> Result<Flow> {
+        match self.reader.recv(&mut self.bufs.sync)? {
+            Inbound::Sync(got) if got == phase => {}
+            Inbound::Msg(Message::Restore(r)) => {
+                self.restore(&r)?;
+                return Ok(Flow::Restored);
+            }
+            Inbound::Sync(got) => {
+                return Err(format!("expected {phase:?} sync, got {got:?}").into())
+            }
+            Inbound::Msg(other) => {
+                return Err(format!("expected {phase:?} sync, got {other:?}").into())
+            }
+        }
+        let sync = &self.bufs.sync;
+        if sync.epoch != epoch {
+            return Err(format!("{phase:?} sync for epoch {} at epoch {epoch}", sync.epoch).into());
+        }
+        let k = self.sampler.params().num_topics;
+        if sync.topic_counts.len() != k {
+            return Err(
+                format!("merged c_k has {} slots for K = {k}", sync.topic_counts.len()).into()
+            );
+        }
+        let stride = self.sampler.stride();
+        let expected = self.plan.received(phase, self.id) * stride;
+        if sync.records.len() != expected {
             return Err(format!(
-                "coordinator asked for epoch {epoch} but this worker is at {}",
-                sampler.iterations()
+                "{phase:?} sync holds {} record words, the plan routes {expected}",
+                sync.records.len()
             )
             .into());
         }
-
-        for kind in [SyncKind::Word, SyncKind::Doc] {
-            let phase = match kind {
-                SyncKind::Word => FaultPhase::Word,
-                SyncKind::Doc => FaultPhase::Doc,
-            };
-            let sabotage =
-                faults.fire(epoch, phase).and_then(|action| execute_fault(action, heartbeat));
-
-            match kind {
-                SyncKind::Word => sampler.run_word_phase_shard(&plan.owned_words[id], &mut partial),
-                SyncKind::Doc => sampler.run_doc_phase_shard(&plan.owned_docs[id], &mut partial),
-            }
-            let delta_entries = match kind {
-                SyncKind::Word => &plan.word_delta_entries[id],
-                SyncKind::Doc => &plan.doc_delta_entries[id],
-            };
-            sampler.export_records(delta_entries, &mut records);
-            let delta = Delta {
-                worker_id: id as u32,
-                epoch,
-                records: records.clone(),
-                partial_ck: partial.clone(),
-            };
-            let msg = match kind {
-                SyncKind::Word => Message::WordDelta(delta),
-                SyncKind::Doc => Message::DocDelta(delta),
-            };
-            match sabotage {
-                Some(FaultAction::CorruptDelta) => writer.send_corrupted(&msg)?,
-                Some(FaultAction::TruncateDelta) => {
-                    writer.send_truncated(&msg)?;
-                    // The frame is unfinishable; exiting here is the fault.
-                    std::process::exit(4);
-                }
-                _ => writer.send(&msg)?,
-            }
-
-            let sync_entries = match kind {
-                SyncKind::Word => &plan.word_sync_entries[id],
-                SyncKind::Doc => &plan.doc_sync_entries[id],
-            };
-            match apply_sync(reader, writer, sampler, sync_entries, epoch, k, kind, id)? {
-                Flow::Synced => {}
-                Flow::Restored => continue 'session,
-            }
+        self.sampler.install_topic_counts(&sync.topic_counts);
+        let routes = self.plan.routes(phase);
+        let mut at = 0;
+        for s in (0..self.plan.workers()).filter(|&s| s != self.id) {
+            let route = &routes[s][self.id];
+            let words = &sync.records[at..at + route.len() * stride];
+            self.sampler.import_records(route, words)?;
+            at += words.len();
         }
+        Ok(Flow::Synced)
+    }
 
-        sampler.advance_iteration();
+    /// Adopts a `Restore` boundary and acknowledges it with `Ready`.
+    fn restore(&mut self, r: &ResumeState) -> Result<()> {
+        self.sampler.restore(r.iterations, &r.records, &r.topic_counts)?;
+        self.writer.send(&Message::Ready { worker_id: self.id as u32 })
     }
-}
-
-/// Receives the expected phase-boundary sync, installs the merged `c_k` and
-/// imports the cross-owner records this worker does not advance itself. A
-/// `Restore` here means a peer failed mid-iteration: adopt the boundary
-/// state, acknowledge with `Ready` and report [`Flow::Restored`].
-#[allow(clippy::too_many_arguments)]
-fn apply_sync(
-    reader: &mut Reader,
-    writer: &SharedWriter,
-    sampler: &mut ShardedWarpLda,
-    entries: &[u32],
-    epoch: u64,
-    k: usize,
-    kind: SyncKind,
-    id: usize,
-) -> Result<Flow> {
-    let sync = match (kind, reader.recv()?) {
-        (SyncKind::Word, Message::WordSync(sync)) => sync,
-        (SyncKind::Doc, Message::DocSync(sync)) => sync,
-        (_, Message::Restore(r)) => {
-            sampler.restore(r.iterations, &r.records, &r.topic_counts)?;
-            writer.send(&Message::Ready { worker_id: id as u32 })?;
-            return Ok(Flow::Restored);
-        }
-        (_, other) => return Err(format!("expected {kind:?} sync, got {other:?}").into()),
-    };
-    if sync.epoch != epoch {
-        return Err(format!("{kind:?} sync for epoch {} at epoch {epoch}", sync.epoch).into());
-    }
-    if sync.topic_counts.len() != k {
-        return Err(format!("merged c_k has {} slots for K = {k}", sync.topic_counts.len()).into());
-    }
-    sampler.install_topic_counts(&sync.topic_counts);
-    sampler.import_records(entries, &sync.records)?;
-    Ok(Flow::Synced)
 }

@@ -11,8 +11,8 @@
 //!
 //! Determinism is the whole point: the same plan against the same seed
 //! produces the same failure, the same recovery path and — because recovery
-//! replays from a boundary snapshot with per-entity RNG streams — the same
-//! final model, bit for bit. That makes "the cluster survived a crash" an
+//! replays from the last committed boundary with per-entity RNG streams —
+//! the same final model, bit for bit. That makes "the cluster survived a crash" an
 //! exact equality assertion instead of a flaky integration hope.
 //!
 //! Replay safety: when a worker is respawned and replays iterations it
@@ -22,14 +22,9 @@
 
 use warplda_corpus::io::codec::{CodecError, CodecResult, Decoder, Encoder};
 
-/// Which half of an iteration an event fires in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultPhase {
-    /// Fires when the worker starts the word phase of the target iteration.
-    Word,
-    /// Fires when the worker starts the doc phase of the target iteration.
-    Doc,
-}
+/// Which half of an iteration an event fires in: it fires when the worker
+/// starts that phase of the target iteration.
+pub use crate::protocol::Phase as FaultPhase;
 
 /// What happens when an event fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,6 +54,10 @@ pub enum FaultAction {
     /// its next delta, flushes and exits — the coordinator sees a connection
     /// closed mid-frame.
     TruncateDelta,
+    /// The worker writes an out-of-range topic (`K`) into the first record
+    /// of its next delta: a well-formed frame that the coordinator must
+    /// reject before relaying it, blaming the sender.
+    PoisonDelta,
 }
 
 /// One scripted fault: `action` fires on `worker` when it starts `phase` of
@@ -132,6 +131,11 @@ impl FaultPlan {
         self.event(FaultEvent { worker, iteration, phase, action: FaultAction::TruncateDelta })
     }
 
+    /// Scripts `worker` to put an out-of-range topic in its next delta.
+    pub fn poison_delta(self, worker: u32, iteration: u64, phase: FaultPhase) -> Self {
+        self.event(FaultEvent { worker, iteration, phase, action: FaultAction::PoisonDelta })
+    }
+
     /// The events addressed to `worker` — what `Setup` ships.
     pub fn for_worker(&self, worker: u32) -> Vec<FaultEvent> {
         self.events.iter().copied().filter(|ev| ev.worker == worker).collect()
@@ -181,6 +185,7 @@ const ACTION_HANG: u8 = 1;
 const ACTION_DELAY: u8 = 2;
 const ACTION_CORRUPT_DELTA: u8 = 3;
 const ACTION_TRUNCATE_DELTA: u8 = 4;
+const ACTION_POISON_DELTA: u8 = 5;
 
 /// Writes a list of events (the `Setup.faults` field).
 pub fn write_fault_events(enc: &mut Encoder<'_>, events: &[FaultEvent]) -> CodecResult<()> {
@@ -198,6 +203,7 @@ pub fn write_fault_events(enc: &mut Encoder<'_>, events: &[FaultEvent]) -> Codec
             FaultAction::Delay { ms } => (ACTION_DELAY, ms),
             FaultAction::CorruptDelta => (ACTION_CORRUPT_DELTA, 0),
             FaultAction::TruncateDelta => (ACTION_TRUNCATE_DELTA, 0),
+            FaultAction::PoisonDelta => (ACTION_POISON_DELTA, 0),
         };
         enc.write_u8(tag)?;
         enc.write_u64(ms)?;
@@ -225,6 +231,7 @@ pub fn read_fault_events(dec: &mut Decoder<'_>) -> CodecResult<Vec<FaultEvent>> 
             ACTION_DELAY => FaultAction::Delay { ms },
             ACTION_CORRUPT_DELTA => FaultAction::CorruptDelta,
             ACTION_TRUNCATE_DELTA => FaultAction::TruncateDelta,
+            ACTION_POISON_DELTA => FaultAction::PoisonDelta,
             other => return Err(CodecError::Corrupt(format!("unknown fault action {other}"))),
         };
         events.push(FaultEvent { worker, iteration, phase, action });
@@ -292,6 +299,12 @@ mod tests {
                 iteration: 2,
                 phase: FaultPhase::Doc,
                 action: FaultAction::TruncateDelta,
+            },
+            FaultEvent {
+                worker: 2,
+                iteration: 4,
+                phase: FaultPhase::Word,
+                action: FaultAction::PoisonDelta,
             },
         ];
         let mut buf = Vec::new();

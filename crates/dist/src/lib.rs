@@ -32,12 +32,15 @@
 //!
 //! * [`protocol`] — the framed wire protocol (over [`warplda_net`]) the
 //!   coordinator and workers speak: corpus/hyperparameter setup, per-phase
-//!   record deltas with partial `c_k`, merged boundary syncs, clean shutdown;
-//! * [`ShardPlan`] — the deterministic per-worker ownership and exchange
-//!   entry lists both sides derive independently from the [`GridPartition`];
+//!   record deltas with partial `c_k`, relayed boundary syncs, clean
+//!   shutdown;
+//! * [`ShardPlan`] — the deterministic per-worker ownership and per-pair
+//!   routes (which records travel from which worker to which) both sides
+//!   derive independently from the [`GridPartition`];
 //! * [`ProcessCluster`] — the coordinator: spawns N `warplda-dist-worker`
-//!   OS processes, drives iterations over loopback TCP, and keeps a replica
-//!   whose merged state is bit-identical to the simulated
+//!   OS processes, drives iterations over loopback TCP, relays to each
+//!   worker only the records it reads, and commits each iteration boundary
+//!   into a replica that is bit-identical to the simulated
 //!   [`DistributedWarpLda`] (and hence to
 //!   [`warplda_core::ParallelWarpLda`]) after every iteration — the
 //!   simulation is retained as the correctness oracle for the real thing.

@@ -1,19 +1,36 @@
 //! The real multi-process training backend: a coordinator that spawns
 //! `warplda-dist-worker` processes and drives them over loopback TCP.
 //!
-//! The coordinator owns a full [`ShardedWarpLda`] replica of its own. Every
-//! iteration it broadcasts `RunIteration`, collects each worker's phase
-//! [`Delta`](crate::protocol::Delta) (owned-entry records + partial `c_k`),
-//! merges the partials, imports the records — at which point its replica *is*
-//! the globally advanced state — and answers each worker with the merged
-//! `c_k` plus exactly the records that worker lacks (per the shared
-//! [`ShardPlan`]). The replica is therefore always inspectable
-//! ([`assignments`](ProcessCluster::assignments),
-//! [`topic_counts`](ProcessCluster::topic_counts)) and checkpointable without
-//! touching the workers, and — by the per-entity RNG stream argument spelled
-//! out in `warplda_core::warp::shard` — bit-identical to a simulated
+//! The coordinator is a relay with a boundary replica. Every iteration it
+//! broadcasts `RunIteration`; then, per phase, it collects each worker's
+//! [`Delta`] (partial `c_k` plus the records of that worker's
+//! [`ShardPlan`] routes) into a reused per-worker buffer, checks it, merges
+//! the partials, and answers each worker with the merged `c_k` plus the
+//! routes addressed to it — contiguous slices of the other workers' deltas,
+//! copied into the outgoing frame without passing through a sampler.
+//!
+//! * **Word phase.** A worker ships only the records of entries whose
+//!   document another worker owns; nothing touches the coordinator's
+//!   replica.
+//! * **Doc phase.** A worker ships every record of its rows, since together
+//!   the doc deltas are the next iteration boundary. Only after every sync
+//!   has been sent does the coordinator import them into its
+//!   [`ShardedWarpLda`] replica and install the merged `c_k` — one commit
+//!   per iteration.
+//!
+//! The replica is written by nothing but that commit, so it always holds the
+//! last complete boundary: [`assignments`](ProcessCluster::assignments),
+//! [`topic_counts`](ProcessCluster::topic_counts) and
+//! [`sampler`](ProcessCluster::sampler) read it without touching the
+//! workers, a checkpoint of it resumes training, and recovery restores from
+//! it. By the per-entity RNG stream argument spelled out in
+//! `warplda_core::warp::shard`, it is bit-identical to a simulated
 //! [`DistributedWarpLda`](crate::DistributedWarpLda) and an in-process
 //! [`ParallelWarpLda`](warplda_core::ParallelWarpLda) run of the same seed.
+//!
+//! Every frame is built in one reused output buffer and every delta is
+//! decoded into its sender's reused buffer, so a steady-state iteration
+//! allocates nothing payload-sized.
 //!
 //! # Supervision
 //!
@@ -28,27 +45,29 @@
 //!   [`liveness_timeout`](ProcessClusterConfig::liveness_timeout), or a phase
 //!   running past the overall `io_timeout` → typed
 //!   [`DistError::WorkerHung`]). A slow worker that keeps heartbeating is
-//!   *not* declared hung.
-//! * **Recovery.** After every successful iteration (and the initial
-//!   handshake) the coordinator captures a boundary snapshot of its replica —
-//!   epoch, packed records, `c_k`; cheap in-memory copies. When a worker dies
-//!   or hangs mid-iteration, [`run_iteration`](ProcessCluster::run_iteration)
-//!   kills and respawns the process, replays `Setup` with the snapshot as
-//!   resume state, resets every survivor to the same boundary with a
-//!   `Restore` frame, and retries the iteration — up to
+//!   *not* declared hung. Anything wrong on a worker's connection — a
+//!   malformed frame, a delta of the wrong length or with a topic `≥ K` —
+//!   is that worker's failure, detected before any of it is relayed, so the
+//!   sender is blamed and never the worker that would have received it.
+//! * **Recovery.** When a worker dies or hangs mid-iteration,
+//!   [`run_iteration`](ProcessCluster::run_iteration) kills and respawns the
+//!   process, replays `Setup` with the replica's boundary as resume state,
+//!   resets every survivor to the same boundary with a `Restore` frame, and
+//!   retries the iteration — up to
 //!   [`max_recoveries`](ProcessClusterConfig::max_recoveries) times across
 //!   the cluster's lifetime. Because every phase derives its randomness from
 //!   per-entity RNG streams keyed on (seed, iteration, phase, entity), the
 //!   retried iteration is **bit-identical** to the one that failed, so a
 //!   recovered run converges to exactly the fault-free model.
 //! * **Scripted faults.** A [`FaultPlan`](crate::FaultPlan) makes precise
-//!   failures happen at precise moments (crash, hang, delay, corrupt or
-//!   truncated delta) so all of the above is exercised deterministically in
-//!   tests and CI instead of waiting for real crashes.
+//!   failures happen at precise moments (crash, hang, delay, corrupt,
+//!   truncated or poisoned delta) so all of the above is exercised
+//!   deterministically in tests and CI instead of waiting for real crashes.
 //!
 //! Every receive is bounded and every failure is typed — the coordinator
 //! never hangs on a dead worker.
 
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -57,14 +76,15 @@ use std::time::{Duration, Instant};
 use warplda_core::{ModelParams, Sampler, ShardedWarpLda, WarpLdaConfig};
 use warplda_corpus::io::codec::CodecError;
 use warplda_corpus::{Corpus, DocMajorView, WordMajorView};
-use warplda_net::{write_frame, FrameBuffer, PollFrame, WireError};
+use warplda_net::{FrameBuffer, PollFrame, WireError};
 use warplda_sparse::PartitionStrategy;
 
 use crate::fault::FaultPlan;
 use crate::grid::GridPartition;
 use crate::plan::ShardPlan;
 use crate::protocol::{
-    decode_message, encode_message, Message, ResumeState, Setup, Sync, DIST_MAX_FRAME_BYTES,
+    decode_delta_into, decode_message, encode_frame, Delta, Message, Phase, RecordFrame,
+    ResumeState, Setup, DIST_MAX_FRAME_BYTES,
 };
 
 /// How long one poll slice waits before the liveness checks interleave.
@@ -211,8 +231,10 @@ pub struct ProcessIterationReport {
     /// Measured wall seconds of the full iteration (compute + real loopback
     /// communication + merges, including any recovery work).
     pub wall_sec: f64,
-    /// Frame bytes crossing the sockets this iteration (deltas + syncs, both
-    /// directions, including length prefixes and recovery traffic).
+    /// Frame bytes crossing the sockets this iteration, both directions,
+    /// length prefixes included: `RunIteration`, deltas, syncs and any
+    /// recovery traffic. Heartbeats are not counted, so a fault-free
+    /// iteration's figure is a pure function of the plan.
     pub bytes_exchanged: u64,
     /// Worker recoveries performed while completing this iteration (0 on a
     /// healthy run).
@@ -225,15 +247,6 @@ struct Conn {
     /// When this connection last produced a frame (heartbeats included)
     /// while being waited on — the liveness clock.
     last_heard: Instant,
-}
-
-/// The coordinator replica's state at an iteration boundary: what recovery
-/// rolls everything back to. Cheap to capture (two buffer copies) relative
-/// to an iteration's sampling work.
-struct BoundarySnapshot {
-    epoch: u64,
-    records: Vec<u32>,
-    topic_counts: Vec<u32>,
 }
 
 /// Locates the worker binary next to (or one/two levels above) the current
@@ -267,8 +280,16 @@ fn spawn_worker(binary: &Path, addr: &SocketAddr, id: u32) -> std::io::Result<Ch
         .spawn()
 }
 
+/// What one receive produced: a delta decoded into the sender's staging
+/// buffer, or any other message.
+enum Inbound {
+    Delta(Phase),
+    Msg(Message),
+}
+
 /// A coordinator over `workers` spawned `warplda-dist-worker` processes.
 pub struct ProcessCluster {
+    /// The last committed iteration boundary (see the module docs).
     sampler: ShardedWarpLda,
     grid: GridPartition,
     plan: ShardPlan,
@@ -283,8 +304,13 @@ pub struct ProcessCluster {
     /// Retained for respawn `Setup` frames (every replica holds a copy
     /// anyway).
     corpus: Corpus,
-    snapshot: BoundarySnapshot,
     recoveries: u64,
+    /// Each worker's decoded delta of the phase in flight.
+    staged: Vec<Delta>,
+    /// The merged `c_k` of the phase in flight.
+    merged: Vec<u32>,
+    /// The outgoing frame.
+    frame: Vec<u8>,
 }
 
 impl ProcessCluster {
@@ -352,14 +378,14 @@ impl ProcessCluster {
             listener,
             binary,
             corpus: corpus.clone(),
-            snapshot: BoundarySnapshot { epoch: 0, records: Vec::new(), topic_counts: Vec::new() },
             recoveries: 0,
+            staged: Vec::new(),
+            merged: Vec::new(),
+            frame: Vec::new(),
         };
+        cluster.staged.resize_with(cluster.cfg.workers, Delta::default);
         match cluster.handshake() {
-            Ok(()) => {
-                cluster.capture_snapshot();
-                Ok(cluster)
-            }
+            Ok(()) => Ok(cluster),
             Err(e) => {
                 cluster.kill_all();
                 Err(e)
@@ -385,14 +411,10 @@ impl ProcessCluster {
         }
         self.conns = slots.into_iter().map(|s| s.expect("all slots filled")).collect();
 
+        let resume = (self.sampler.iterations() > 0).then(|| self.boundary());
         for i in 0..workers {
-            let resume = (self.sampler.iterations() > 0).then(|| ResumeState {
-                iterations: self.sampler.iterations(),
-                records: self.sampler.records_slice().to_vec(),
-                topic_counts: self.sampler.topic_counts().to_vec(),
-            });
             let faults = self.cfg.fault_plan.for_worker(i as u32);
-            let setup = self.make_setup(i as u32, resume, faults);
+            let setup = self.make_setup(i as u32, resume.clone(), faults);
             self.send(i, &setup)?;
         }
         for i in 0..workers {
@@ -506,24 +528,40 @@ impl ProcessCluster {
         self.sampler.topic_counts()
     }
 
-    /// The coordinator's replica — checkpoint it with
+    /// The coordinator's replica, holding the last committed iteration
+    /// boundary — checkpoint it with
     /// `warplda_core::checkpoint::write_checkpoint` to persist the cluster's
     /// state.
     pub fn sampler(&self) -> &ShardedWarpLda {
         &self.sampler
     }
 
+    /// The replica's boundary as resume state for a `Setup` or `Restore`.
+    fn boundary(&self) -> ResumeState {
+        ResumeState {
+            iterations: self.sampler.iterations(),
+            records: self.sampler.records_slice().to_vec(),
+            topic_counts: self.sampler.topic_counts().to_vec(),
+        }
+    }
+
     fn send(&mut self, i: usize, msg: &Message) -> Result<(), DistError> {
-        let payload = encode_message(msg);
-        self.bytes_this_iteration += payload.len() as u64 + 4;
-        write_frame(&mut self.conns[i].stream, &payload).map_err(|e| {
+        encode_frame(msg, &mut self.frame);
+        self.send_frame(i)
+    }
+
+    /// Writes the frame built in `self.frame` to worker `i`.
+    fn send_frame(&mut self, i: usize) -> Result<(), DistError> {
+        self.bytes_this_iteration += self.frame.len() as u64;
+        self.conns[i].stream.write_all(&self.frame).map_err(|e| {
             // A worker that died mid-iteration surfaces here as a broken
             // pipe; report *which* worker instead of a bare I/O error.
             DistError::WorkerFailed { worker: i as u32, message: format!("send failed: {e}") }
         })
     }
 
-    /// Receives the next protocol message from worker `i`, interleaving the
+    /// Receives the next protocol message from worker `i` — a delta lands in
+    /// `self.staged[i]` — interleaving the
     /// supervision checks between short poll slices: heartbeats refresh the
     /// liveness clock and are consumed here (never surfaced), a dead child or
     /// closed connection is a typed `WorkerFailed`, heartbeat silence beyond
@@ -531,7 +569,7 @@ impl ProcessCluster {
     /// `io_timeout` is a typed `WorkerHung`. `liveness` is off for waits
     /// that are legitimately quiet — replica builds after `Setup`/`Restore`,
     /// which run before the worker's heartbeat thread has anything to prove.
-    fn recv(&mut self, i: usize, liveness: bool) -> Result<Message, DistError> {
+    fn recv(&mut self, i: usize, liveness: bool) -> Result<Inbound, DistError> {
         let deadline = Instant::now() + self.cfg.io_timeout;
         // The liveness clock measures silence *while watched*: heartbeats
         // that piled up in the socket buffer while the coordinator serviced
@@ -544,20 +582,24 @@ impl ProcessCluster {
             };
             match polled {
                 Ok(PollFrame::Frame(range)) => {
-                    self.bytes_this_iteration += range.len() as u64 + 4;
                     self.conns[i].last_heard = Instant::now();
-                    let msg = decode_message(self.conns[i].buf.payload(range)).map_err(|e| {
+                    let frame_bytes = range.len() as u64 + 4;
+                    let payload = self.conns[i].buf.payload(range);
+                    let inbound = decode_inbound(payload, &mut self.staged[i]).map_err(|e| {
                         DistError::WorkerFailed {
                             worker: i as u32,
                             message: format!("malformed frame: {e}"),
                         }
                     })?;
-                    match msg {
-                        Message::Heartbeat { .. } => continue,
-                        Message::Fault { worker_id, message } => {
-                            return Err(DistError::WorkerFailed { worker: worker_id, message })
+                    match inbound {
+                        Inbound::Msg(Message::Heartbeat { .. }) => continue,
+                        Inbound::Msg(Message::Fault { message, .. }) => {
+                            return Err(DistError::WorkerFailed { worker: i as u32, message })
                         }
-                        msg => return Ok(msg),
+                        inbound => {
+                            self.bytes_this_iteration += frame_bytes;
+                            return Ok(inbound);
+                        }
                     }
                 }
                 Ok(PollFrame::Idle) => {
@@ -609,9 +651,11 @@ impl ProcessCluster {
     fn await_ready(&mut self, i: usize) -> Result<(), DistError> {
         loop {
             match self.recv(i, false)? {
-                Message::Ready { worker_id } if worker_id as usize == i => return Ok(()),
-                Message::WordDelta(_) | Message::DocDelta(_) => continue,
-                other => {
+                Inbound::Msg(Message::Ready { worker_id }) if worker_id as usize == i => {
+                    return Ok(())
+                }
+                Inbound::Delta(_) => continue,
+                Inbound::Msg(other) => {
                     return Err(DistError::Protocol(format!(
                         "expected Ready from worker {i}, got {}",
                         kind_of(&other)
@@ -621,12 +665,12 @@ impl ProcessCluster {
         }
     }
 
-    /// Runs one distributed iteration: word phase (deltas in, boundary out),
-    /// then doc phase, each a barrier across all workers. A worker failure
-    /// mid-iteration triggers recovery — respawn, roll everyone back to the
-    /// last boundary snapshot, retry — until the iteration completes or the
-    /// recovery budget is exhausted. The completed iteration is bit-identical
-    /// to a fault-free run.
+    /// Runs one distributed iteration: word phase (deltas in, syncs out),
+    /// then doc phase, each a barrier across all workers, then the boundary
+    /// commit. A worker failure mid-iteration triggers recovery — respawn,
+    /// roll everyone back to the replica's boundary, retry — until the
+    /// iteration completes or the recovery budget is exhausted. The
+    /// completed iteration is bit-identical to a fault-free run.
     pub fn run_iteration(&mut self) -> Result<ProcessIterationReport, DistError> {
         let t0 = Instant::now();
         self.bytes_this_iteration = 0;
@@ -634,7 +678,6 @@ impl ProcessCluster {
         loop {
             let mut err = match self.attempt_iteration() {
                 Ok(()) => {
-                    self.capture_snapshot();
                     return Ok(ProcessIterationReport {
                         iteration: self.sampler.iterations(),
                         wall_sec: t0.elapsed().as_secs_f64(),
@@ -665,98 +708,118 @@ impl ProcessCluster {
         }
     }
 
-    /// One try at an iteration; leaves the replica mid-state on failure (the
-    /// caller rolls back via the boundary snapshot).
+    /// One try at an iteration. The replica is written only by the final
+    /// commit, after every sync is out, so a failure anywhere before it
+    /// leaves the replica at the last boundary.
     fn attempt_iteration(&mut self) -> Result<(), DistError> {
         let epoch = self.sampler.iterations();
-        let k = self.sampler.params().num_topics;
+        encode_frame(&Message::RunIteration { epoch }, &mut self.frame);
         for i in 0..self.workers() {
-            self.send(i, &Message::RunIteration { epoch })?;
+            self.send_frame(i)?;
         }
-
         for phase in [Phase::Word, Phase::Doc] {
-            let mut merged = vec![0u32; k];
+            self.merged.clear();
+            self.merged.resize(self.sampler.params().num_topics, 0);
             for i in 0..self.workers() {
-                let delta = match (phase, self.recv(i, true)?) {
-                    (Phase::Word, Message::WordDelta(d)) => d,
-                    (Phase::Doc, Message::DocDelta(d)) => d,
-                    (_, other) => {
-                        return Err(DistError::Protocol(format!(
-                            "expected {phase:?} delta from worker {i}, got {}",
-                            kind_of(&other)
-                        )))
-                    }
-                };
-                if delta.worker_id != i as u32 || delta.epoch != epoch {
-                    return Err(DistError::Protocol(format!(
-                        "delta from worker {} for epoch {} on worker {i}'s connection at \
-                         epoch {epoch}",
-                        delta.worker_id, delta.epoch
-                    )));
-                }
-                if delta.partial_ck.len() != k {
-                    return Err(DistError::Codec(CodecError::Corrupt(format!(
-                        "partial c_k has {} slots for K = {k}",
-                        delta.partial_ck.len()
-                    ))));
-                }
-                for (m, &p) in merged.iter_mut().zip(&delta.partial_ck) {
-                    *m += p;
-                }
-                let entries = match phase {
-                    Phase::Word => &self.plan.word_delta_entries[i],
-                    Phase::Doc => &self.plan.doc_delta_entries[i],
-                };
-                self.sampler.import_records(entries, &delta.records)?;
+                self.collect_delta(i, phase, epoch)?;
             }
-            self.sampler.install_topic_counts(&merged);
-            for i in 0..self.workers() {
-                let entries = match phase {
-                    Phase::Word => &self.plan.word_sync_entries[i],
-                    Phase::Doc => &self.plan.doc_sync_entries[i],
-                };
-                let mut records = Vec::new();
-                self.sampler.export_records(entries, &mut records);
-                let sync = Sync { epoch, topic_counts: merged.clone(), records };
-                let msg = match phase {
-                    Phase::Word => Message::WordSync(sync),
-                    Phase::Doc => Message::DocSync(sync),
-                };
-                self.send(i, &msg)?;
+            for d in 0..self.workers() {
+                self.relay_sync(d, phase, epoch)?;
             }
         }
-
-        self.sampler.advance_iteration();
+        self.commit();
         Ok(())
     }
 
-    fn capture_snapshot(&mut self) {
-        self.snapshot = BoundarySnapshot {
-            epoch: self.sampler.iterations(),
-            records: self.sampler.records_slice().to_vec(),
-            topic_counts: self.sampler.topic_counts().to_vec(),
-        };
+    /// Receives worker `i`'s `phase` delta into `self.staged[i]`, checks it
+    /// against the plan — length, topics `< K` — and merges its partial
+    /// `c_k`. Every defect is worker `i`'s failure: nothing it sent has been
+    /// relayed yet.
+    fn collect_delta(&mut self, i: usize, phase: Phase, epoch: u64) -> Result<(), DistError> {
+        let failed = |message: String| DistError::WorkerFailed { worker: i as u32, message };
+        match self.recv(i, true)? {
+            Inbound::Delta(got) if got == phase => {}
+            Inbound::Delta(got) => {
+                return Err(failed(format!("sent a {got:?} delta in the {phase:?} phase")))
+            }
+            Inbound::Msg(other) => {
+                return Err(failed(format!("expected a {phase:?} delta, got {}", kind_of(&other))))
+            }
+        }
+        let delta = &self.staged[i];
+        if delta.worker_id != i as u32 || delta.epoch != epoch {
+            return Err(failed(format!(
+                "delta from worker {} for epoch {} at epoch {epoch}",
+                delta.worker_id, delta.epoch
+            )));
+        }
+        let k = self.merged.len();
+        if delta.partial_ck.len() != k {
+            return Err(failed(format!(
+                "partial c_k has {} slots for K = {k}",
+                delta.partial_ck.len()
+            )));
+        }
+        let expected = self.plan.shipped(phase, i) * self.sampler.stride();
+        if delta.records.len() != expected {
+            return Err(failed(format!(
+                "{phase:?} delta holds {} record words, the plan routes {expected}",
+                delta.records.len()
+            )));
+        }
+        let max = delta.records.iter().fold(0u32, |m, &t| m.max(t));
+        if max as usize >= k {
+            return Err(failed(format!("{phase:?} delta carries topic {max} (K = {k})")));
+        }
+        for (m, &p) in self.merged.iter_mut().zip(&delta.partial_ck) {
+            *m = m.checked_add(p).ok_or_else(|| failed("partial c_k overflows".into()))?;
+        }
+        Ok(())
+    }
+
+    /// Sends worker `d` its `phase` sync: the merged `c_k` and every other
+    /// worker's route to `d`, copied as contiguous slices of their staged
+    /// deltas.
+    fn relay_sync(&mut self, d: usize, phase: Phase, epoch: u64) -> Result<(), DistError> {
+        let stride = self.sampler.stride();
+        let words = self.plan.received(phase, d) * stride;
+        let mut sync = RecordFrame::sync(&mut self.frame, phase, epoch, &self.merged, words);
+        for s in (0..self.cfg.workers).filter(|&s| s != d) {
+            let at = self.plan.route_offset(phase, s, d) * stride;
+            let len = self.plan.routes(phase)[s][d].len() * stride;
+            sync.push(&self.staged[s].records[at..at + len]);
+        }
+        sync.finish();
+        self.send_frame(d)
+    }
+
+    /// Installs the doc deltas as the new boundary: every row's records,
+    /// then the merged `c_k`, then the epoch — the replica's only write.
+    fn commit(&mut self) {
+        let stride = self.sampler.stride();
+        for (routes, delta) in self.plan.doc_routes.iter().zip(&self.staged) {
+            let mut at = 0;
+            for route in routes {
+                let words = &delta.records[at..at + route.len() * stride];
+                self.sampler
+                    .import_records(route, words)
+                    .expect("collect_delta checked length and topics on receipt");
+                at += words.len();
+            }
+        }
+        self.sampler.install_topic_counts(&self.merged);
+        self.sampler.advance_iteration();
     }
 
     /// Recovers from worker `dead`'s failure: kill and reap the process
-    /// (it may be hung-alive, not dead), roll the coordinator replica back
-    /// to the boundary snapshot, respawn the worker with the snapshot as its
-    /// resume state, and reset every survivor to the same boundary. On
-    /// return the whole cluster sits at the snapshot's epoch, exactly as if
-    /// the failed iteration had never started.
+    /// (it may be hung-alive, not dead), respawn it with the replica's
+    /// boundary as its resume state, and reset every survivor to the same
+    /// boundary. On return the whole cluster sits at the replica's epoch,
+    /// exactly as if the failed iteration had never started.
     fn recover(&mut self, dead: u32) -> Result<(), DistError> {
         let dead = dead as usize;
         let _ = self.children[dead].kill();
         let _ = self.children[dead].wait();
-
-        // The failed attempt may have imported some deltas already; the
-        // replica must rejoin the boundary before re-serving as the merge
-        // point.
-        self.sampler.restore(
-            self.snapshot.epoch,
-            &self.snapshot.records,
-            &self.snapshot.topic_counts,
-        )?;
 
         let addr = self.listener.local_addr()?;
         self.children[dead] = spawn_worker(&self.binary, &addr, dead as u32)?;
@@ -769,19 +832,16 @@ impl ProcessCluster {
         }
         self.conns[dead] = conn;
 
-        let resume = ResumeState {
-            iterations: self.snapshot.epoch,
-            records: self.snapshot.records.clone(),
-            topic_counts: self.snapshot.topic_counts.clone(),
-        };
+        let resume = self.boundary();
         // Events at or before the replay point must not ship again: the
         // crash that killed this worker would otherwise re-fire on every
         // respawn and recovery would loop until the budget ran out.
-        let faults = self.cfg.fault_plan.surviving(dead as u32, self.snapshot.epoch);
+        let faults = self.cfg.fault_plan.surviving(dead as u32, resume.iterations);
         let setup = self.make_setup(dead as u32, Some(resume.clone()), faults);
         self.send(dead, &setup)?;
         self.await_ready(dead)?;
 
+        let restore = Message::Restore(resume);
         for j in 0..self.workers() {
             if j == dead {
                 continue;
@@ -791,7 +851,7 @@ impl ProcessCluster {
             // Restore frame: sending first against a survivor itself blocked
             // mid-delta on a full socket buffer could deadlock.
             self.drain_to_idle(j)?;
-            self.send(j, &Message::Restore(resume.clone()))?;
+            self.send(j, &restore)?;
             self.await_ready(j)?;
         }
         Ok(())
@@ -809,20 +869,19 @@ impl ProcessCluster {
             };
             match polled {
                 Ok(PollFrame::Frame(range)) => {
-                    let msg = decode_message(self.conns[j].buf.payload(range)).map_err(|e| {
+                    let payload = self.conns[j].buf.payload(range);
+                    let inbound = decode_inbound(payload, &mut self.staged[j]).map_err(|e| {
                         DistError::WorkerFailed {
                             worker: j as u32,
                             message: format!("malformed frame: {e}"),
                         }
                     })?;
-                    match msg {
-                        Message::Heartbeat { .. }
-                        | Message::WordDelta(_)
-                        | Message::DocDelta(_) => continue,
-                        Message::Fault { worker_id, message } => {
-                            return Err(DistError::WorkerFailed { worker: worker_id, message })
+                    match inbound {
+                        Inbound::Delta(_) | Inbound::Msg(Message::Heartbeat { .. }) => continue,
+                        Inbound::Msg(Message::Fault { message, .. }) => {
+                            return Err(DistError::WorkerFailed { worker: j as u32, message })
                         }
-                        other => {
+                        Inbound::Msg(other) => {
                             return Err(DistError::Protocol(format!(
                                 "unexpected {} from worker {j} during recovery",
                                 kind_of(&other)
@@ -863,8 +922,11 @@ impl ProcessCluster {
         for i in 0..self.conns.len() {
             let result =
                 self.send(i, &Message::Shutdown).and_then(|()| match self.recv(i, false)? {
-                    Message::Bye { .. } => Ok(()),
-                    other => Err(DistError::Protocol(format!(
+                    Inbound::Msg(Message::Bye { .. }) => Ok(()),
+                    Inbound::Delta(phase) => Err(DistError::Protocol(format!(
+                        "expected Bye from worker {i}, got a {phase:?} delta"
+                    ))),
+                    Inbound::Msg(other) => Err(DistError::Protocol(format!(
                         "expected Bye from worker {i}, got {}",
                         kind_of(&other)
                     ))),
@@ -900,10 +962,12 @@ impl Drop for ProcessCluster {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    Word,
-    Doc,
+/// Decodes one payload from a worker; a delta lands in `staged`.
+fn decode_inbound(payload: &[u8], staged: &mut Delta) -> Result<Inbound, CodecError> {
+    match decode_delta_into(payload, staged)? {
+        Some(phase) => Ok(Inbound::Delta(phase)),
+        None => decode_message(payload).map(Inbound::Msg),
+    }
 }
 
 /// Receives one message on a connection; `Ok(None)` is a clean disconnect.

@@ -13,22 +13,49 @@
 //!
 //! The fault-tolerance half drives the same differential argument through
 //! scripted failures: a worker killed or hung mid-iteration is detected
-//! (child exit / heartbeat silence), respawned from the coordinator's
-//! boundary snapshot, and the retried iteration replays bit-identically —
-//! so the *final* model after recovery equals the fault-free oracle's
-//! exactly. With recovery disabled, the same faults surface as fast typed
-//! errors, and a dropped cluster never leaves zombie worker processes.
+//! (child exit / heartbeat silence), respawned from the boundary committed
+//! in the coordinator's replica, and the retried iteration replays
+//! bit-identically — so the replica equals the fault-free oracle's full
+//! state after every iteration, recovered or not. A delta that is malformed
+//! or carries an out-of-range topic is blamed on its sender before any of it
+//! is relayed. With recovery disabled, the same faults surface as fast typed
+//! errors, and a dropped cluster never leaves zombie worker processes. The
+//! bytes each iteration moves are pinned to the exchange plan's formula.
+//!
+//! The suite lives in this crate so Cargo builds the `warplda-dist-worker`
+//! binary it spawns and hands over its path.
 
+use std::path::PathBuf;
 use std::time::Duration;
 
-use warplda::prelude::*;
+use warplda_core::checkpoint::write_checkpoint;
+use warplda_core::{
+    load_checkpoint, log_joint_likelihood, perplexity_per_token, save_checkpoint, ModelParams,
+    ParallelWarpLda, Sampler, ShardedWarpLda, WarpLdaConfig,
+};
+use warplda_corpus::{Corpus, DatasetPreset, DocMajorView, WordMajorView};
+use warplda_dist::protocol::Phase;
+use warplda_dist::{
+    ClusterConfig, DistError, DistributedWarpLda, FaultPhase, FaultPlan, ProcessCluster,
+    ProcessClusterConfig, ShardPlan,
+};
 
 fn process_config(workers: usize) -> ProcessClusterConfig {
     let mut cfg = ProcessClusterConfig::new(workers);
+    cfg.worker_binary = Some(PathBuf::from(env!("CARGO_BIN_EXE_warplda-dist-worker")));
     // CI boxes are slow but a minute is still far beyond any healthy
     // exchange on a loopback socket.
     cfg.io_timeout = Duration::from_secs(60);
     cfg
+}
+
+/// The full checkpoint image of a sampler: epoch, every packed record (topic
+/// and proposals) and `c_k`. `ShardedWarpLda` and `ParallelWarpLda` share the
+/// layout, so equal images mean equal state.
+fn state_image(sampler: &dyn warplda_core::Checkpointable) -> Vec<u8> {
+    let mut image = Vec::new();
+    write_checkpoint(sampler, None, &mut image).expect("in-memory checkpoint");
+    image
 }
 
 /// Per-iteration differential run: multi-process vs. simulated vs. parallel.
@@ -191,10 +218,16 @@ fn assert_recovery_is_bit_identical(
         ProcessCluster::new(&corpus, params, config, seed, cfg).expect("spawn cluster");
     let mut oracle = ParallelWarpLda::new(&corpus, params, config, seed, workers);
     let mut recoveries_seen = 0u64;
-    for _ in 0..iters {
+    for iter in 1..=iters {
         let report = cluster.run_iteration().expect("iteration must survive scripted faults");
         recoveries_seen += u64::from(report.recoveries);
         oracle.run_iteration();
+        // The coordinator's replica holds exactly the oracle's boundary after
+        // every iteration, recovered or not.
+        assert!(
+            state_image(cluster.sampler()) == state_image(&oracle),
+            "{workers} workers: replica differs from the oracle after iteration {iter}"
+        );
     }
     assert_eq!(cluster.recoveries(), expected_recoveries, "{workers} workers: recovery counter");
     assert_eq!(recoveries_seen, expected_recoveries, "{workers} workers: per-report counters");
@@ -243,6 +276,116 @@ fn corrupt_and_truncated_deltas_trigger_recovery() {
         FaultPhase::Doc,
     );
     assert_recovery_is_bit_identical(2, plan, 4, 2);
+}
+
+#[test]
+fn corrupt_doc_delta_after_a_staged_one_recovers_from_the_committed_boundary() {
+    // Worker 0's iteration-2 doc delta is already staged on the coordinator
+    // when worker 1's arrives corrupt. Nothing of the failed iteration may
+    // reach the replica: recovery restores from it, so it must still hold
+    // iteration 1's boundary.
+    let plan = FaultPlan::new().corrupt_delta(1, 2, FaultPhase::Doc);
+    assert_recovery_is_bit_identical(2, plan, 3, 1);
+}
+
+#[test]
+fn crash_in_the_doc_phase_recovers_bit_identically_on_four_workers() {
+    let plan = FaultPlan::new().crash(2, 2, FaultPhase::Doc);
+    assert_recovery_is_bit_identical(4, plan, 3, 1);
+}
+
+#[test]
+fn poisoned_deltas_are_blamed_on_their_sender() {
+    let corpus = DatasetPreset::Tiny.generate_scaled(2);
+    let params = ModelParams::paper_defaults(8);
+    let config = WarpLdaConfig::with_mh_steps(2);
+    // Worker 0's word delta carries an out-of-range topic in a record routed
+    // to worker 1. The coordinator must reject it on receipt, naming worker
+    // 0 — not relay it and let worker 1 fail on import.
+    let mut cfg = process_config(2);
+    cfg.max_recoveries = 0;
+    cfg.fault_plan = FaultPlan::new().poison_delta(0, 2, FaultPhase::Word);
+    let mut cluster = ProcessCluster::new(&corpus, params, config, 13, cfg).expect("spawn");
+    let plan = plan_of(&cluster, &corpus, params, config);
+    assert!(!plan.word_routes[0][1].is_empty(), "the poisoned record must be relayed");
+    cluster.run_iteration().expect("healthy iteration");
+    match cluster.run_iteration().expect_err("a poisoned delta must fail the iteration") {
+        DistError::WorkerFailed { worker, message } => {
+            assert_eq!(worker, 0, "blamed the wrong worker: {message}");
+            assert!(message.contains("topic"), "unexpected cause: {message}");
+        }
+        other => panic!("expected WorkerFailed, got {other}"),
+    }
+
+    // With recovery on, the same poison in either phase costs one recovery
+    // and changes no bit.
+    for phase in [FaultPhase::Word, FaultPhase::Doc] {
+        let plan = FaultPlan::new().poison_delta(0, 2, phase);
+        assert_recovery_is_bit_identical(2, plan, 3, 1);
+    }
+}
+
+/// The exchange plan every process of `cluster` derives (it depends on the
+/// corpus and the grid, not on the seed).
+fn plan_of(
+    cluster: &ProcessCluster,
+    corpus: &Corpus,
+    params: ModelParams,
+    config: WarpLdaConfig,
+) -> ShardPlan {
+    ShardPlan::build(&ShardedWarpLda::new(corpus, params, config, 0), cluster.grid())
+}
+
+/// Frame bytes of one fault-free iteration, derived from the plan alone:
+/// `RunIteration` to every worker, then per phase one delta from and one
+/// sync to every worker, each a length prefix, a tag, fixed fields, a
+/// length-prefixed `c_k` and length-prefixed records.
+fn plan_bytes_per_iteration(plan: &ShardPlan, k: usize, stride: usize) -> u64 {
+    let p = plan.workers();
+    let ck = 8 + 4 * k;
+    let run_iteration = 4 + 1 + 8;
+    let delta_head = 4 + 1 + 4 + 8 + ck + 8;
+    let sync_head = 4 + 1 + 8 + ck + 8;
+    let mut bytes = p * run_iteration;
+    for phase in [Phase::Word, Phase::Doc] {
+        for i in 0..p {
+            bytes += delta_head + 4 * stride * plan.shipped(phase, i);
+            bytes += sync_head + 4 * stride * plan.received(phase, i);
+        }
+    }
+    bytes as u64
+}
+
+#[test]
+fn bytes_exchanged_equal_the_plan_formula() {
+    let corpus = DatasetPreset::Tiny.generate_scaled(2);
+    let k = 12;
+    let params = ModelParams::paper_defaults(k);
+    let config = WarpLdaConfig::with_mh_steps(2);
+    let stride = config.mh_steps + 1;
+    let tokens = corpus.num_tokens();
+    for workers in [1usize, 2, 4] {
+        let mut cluster = ProcessCluster::new(&corpus, params, config, 3, process_config(workers))
+            .expect("spawn cluster");
+        let plan = plan_of(&cluster, &corpus, params, config);
+        let expected = plan_bytes_per_iteration(&plan, k, stride);
+        // The same figure in closed form: per token `s·(1 + 3f)` record
+        // bytes (the doc delta carries every token, the word delta and both
+        // syncs only the off-diagonal fraction f), plus fixed framing.
+        let off = cluster.grid().tokens_exchanged_per_phase_switch();
+        let s = 4 * stride as u64;
+        let framing = workers as u64 * (13 + 2 * (4 + 1 + 4 + 8 + 8 + 4 * k as u64 + 8))
+            + workers as u64 * 2 * (4 + 1 + 8 + 8 + 4 * k as u64 + 8);
+        assert_eq!(expected, s * (tokens + 3 * off) + framing, "{workers} workers");
+        if workers == 1 {
+            assert_eq!(off, 0, "one worker exchanges no records");
+        }
+        for iter in 1..=3 {
+            let report = cluster.run_iteration().expect("iteration");
+            assert_eq!(report.bytes_exchanged, expected, "{workers} workers, iteration {iter}");
+        }
+        cluster.shutdown().expect("clean shutdown");
+    }
 }
 
 #[test]
@@ -316,8 +459,8 @@ fn process_is_live_or_zombie(pid: u32) -> bool {
 
 #[test]
 fn malformed_delta_payloads_are_rejected_with_typed_codec_errors() {
-    use warplda::corpus::io::codec::CodecError;
-    use warplda::dist::protocol::{decode_message, encode_message, Delta, Message};
+    use warplda_corpus::io::codec::CodecError;
+    use warplda_dist::protocol::{decode_message, encode_message, Delta, Message};
 
     let delta = Message::WordDelta(Delta {
         worker_id: 0,
@@ -351,7 +494,7 @@ fn malformed_delta_payloads_are_rejected_with_typed_codec_errors() {
 
 #[test]
 fn truncated_frames_and_oversized_prefixes_are_typed_wire_errors() {
-    use warplda::net::{FrameBuffer, WireError};
+    use warplda_net::{FrameBuffer, WireError};
 
     // A frame cut mid-payload is Malformed, not a hang or a panic.
     let mut buf = FrameBuffer::new(64);

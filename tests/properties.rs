@@ -337,8 +337,10 @@ proptest! {
             prop_assert!((grid.word_owner(w) as usize) < workers);
         }
 
-        // Ownership through the exchange plan: in each phase the per-worker
-        // delta entry lists are an exact partition of the token matrix.
+        // Ownership through the exchange plan: the entries of the columns
+        // each worker advances, and the entries each worker's doc delta
+        // ships, are each an exact partition of the token matrix; the word
+        // deltas carry exactly the grid's off-diagonal tokens.
         let sampler = ShardedWarpLda::new(
             &corpus,
             ModelParams::new(4, 0.5, 0.1),
@@ -346,7 +348,15 @@ proptest! {
             11,
         );
         let plan = ShardPlan::build(&sampler, &grid);
-        for lists in [&plan.word_delta_entries, &plan.doc_delta_entries] {
+        let word_owned: Vec<Vec<u32>> = plan
+            .owned_words
+            .iter()
+            .map(|ws| ws.iter().flat_map(|&w| sampler.col_entry_range(w)).map(|e| e as u32).collect())
+            .collect();
+        let doc_shipped: Vec<Vec<u32>> = plan.doc_routes.iter().map(|r| r.concat()).collect();
+        let word_shipped: usize = plan.word_routes.iter().flatten().map(Vec::len).sum();
+        prop_assert_eq!(word_shipped as u64, grid.tokens_exchanged_per_phase_switch());
+        for lists in [&word_owned, &doc_shipped] {
             let mut seen = vec![false; sampler.num_entries()];
             for list in lists.iter() {
                 for &e in list {
